@@ -9,13 +9,18 @@ BENCH_ARTIFACT ?= BENCH_pr9.json
 # Every target runs against the in-tree sources, no install required.
 export PYTHONPATH = src
 
-.PHONY: install test lint chaos scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
+.PHONY: install test perfbench-test lint chaos scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/ -q
+
+# The benchmark's own tests (perfbench/), including the same-seed
+# identical-work-counter check; mirrors the CI perfbench-tests job.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 # Mirrors the CI lint job; ruff/mypy are skipped with a notice when absent.
 lint:

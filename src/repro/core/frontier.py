@@ -193,24 +193,49 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
         hooks.batch_end()
 
 
+def _merge_sorted(
+    av: np.ndarray, ad: np.ndarray, bv: np.ndarray, bd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge two disjoint ascending vertex arrays with their payloads (the
+    stable sort merges the two pre-sorted runs in linear time)."""
+    if av.size == 0:
+        return bv, bd
+    v = np.concatenate([av, bv])
+    order = np.argsort(v, kind="stable")
+    return v[order], np.concatenate([ad, bd])[order]
+
+
 def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
-    """Deletion rounds over the whole outstanding frontier (Invariant 2)."""
+    """Deletion rounds over the whole outstanding frontier (Invariant 2).
+
+    Each round needs the desire level of every outstanding violator, but a
+    vertex's desire is a function of its level, ``up_deg`` and ``down`` row
+    alone, and between rounds only the movers and the rows their move
+    touched change those.  So the round's ``(violator, desire)`` pairs are
+    carried into the next round and only the touched part of the
+    outstanding set goes back through the kernel; the merged result is
+    exactly what a full recompute would return, in the same vertex order.
+    """
     state = plds.state
     hooks = plds.hooks
     mode = _hook_mode(hooks)
     executor = plds.executor
     level_arr = state._level_arr
+    stamp = state._stamp
     hooks.batch_begin("delete", applied)
     try:
         if applied:
-            outstanding = np.unique(
+            recompute = np.unique(
                 np.asarray(applied, dtype=np.int64).reshape(-1, 2).ravel()
             )
         else:
-            outstanding = _EMPTY
-        while outstanding.size:
-            _noop_round(executor, int(outstanding.size))
-            viols, desires = state.bulk_desire_levels_arr(outstanding)
+            recompute = _EMPTY
+        # Violators whose counters no move touched, with their desires.
+        carry_v = carry_d = _EMPTY
+        while recompute.size or carry_v.size:
+            _noop_round(executor, int(recompute.size + carry_v.size))
+            fresh_v, fresh_d = state.bulk_desire_levels_arr(recompute)
+            viols, desires = _merge_sorted(carry_v, carry_d, fresh_v, fresh_d)
             if viols.size == 0:
                 break
             lstar = int(desires.min())
@@ -226,44 +251,38 @@ def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
                     state.set_level(v, lstar)
                 plds._count_moves(int(movers.size))
                 graph = plds.graph
-                grow = [
-                    w
-                    for v in movers.tolist()
-                    for w in graph.neighbors_unsafe(v)
-                    if level[w] > lstar
-                ]
-                if grow:
-                    outstanding = np.unique(
-                        np.concatenate(
-                            [viols, np.asarray(grow, dtype=np.int64)]
-                        )
-                    )
+                flat = np.asarray(
+                    [w for v in movers.tolist() for w in graph.neighbors_unsafe(v)],
+                    dtype=np.int64,
+                )
+            else:
+                src, flat = state.gather_rows(movers)
+                if mode == "bulk":
+                    old_levels = level_arr[movers].copy()
+                    hooks.bulk_delete_moves(movers, old_levels, lstar, src, flat)
+                    state.bulk_move_to_level_rows(movers, lstar, src, flat)
+                elif mode == "scalar":
+                    level = state.level
+                    for v in movers.tolist():
+                        old = level[v]
+                        hooks.before_move(v, old, lstar, "delete")
+                        state.set_level(v, lstar)
                 else:
-                    outstanding = viols
-                hooks.round_boundary()
-                continue
-            src, flat = state.gather_rows(movers)
-            if mode == "bulk":
-                old_levels = level_arr[movers].copy()
-                hooks.bulk_delete_moves(movers, old_levels, lstar, src, flat)
-                state.bulk_move_to_level_rows(movers, lstar, src, flat)
-            elif mode == "scalar":
-                level = state.level
-                for v in movers.tolist():
-                    old = level[v]
-                    hooks.before_move(v, old, lstar, "delete")
-                    state.set_level(v, lstar)
-            else:
-                state.bulk_move_to_level_rows(movers, lstar, src, flat)
-            plds._count_moves(int(movers.size))
-            # Neighbours left strictly above the landing level re-check next
-            # round, alongside every current violator (movers included —
-            # they may violate again at lstar).
-            if flat.size:
-                grow = flat[level_arr[flat] > lstar]
-                outstanding = np.unique(np.concatenate([viols, grow]))
-            else:
-                outstanding = viols
+                    state.bulk_move_to_level_rows(movers, lstar, src, flat)
+                plds._count_moves(int(movers.size))
+            # Next round's outstanding set: every current violator (movers
+            # included — they may violate again at lstar) plus neighbours
+            # left strictly above the landing level.  Violators off the
+            # movers' rows keep their desire; the rest are recomputed.
+            stamp[movers] = True
+            stamp[flat] = True
+            touched = stamp[viols]
+            stamp[movers] = False
+            stamp[flat] = False
+            carry_v = viols[~touched]
+            carry_d = desires[~touched]
+            grow = flat[level_arr[flat] > lstar]
+            recompute = np.unique(np.concatenate([viols[touched], grow]))
             hooks.round_boundary()
     finally:
         hooks.batch_end()

@@ -72,7 +72,8 @@ class LevelStore(Protocol):
     Attributes
     ----------
     backend:
-        The backend's registry name (``"object"`` / ``"columnar"``).
+        The backend's registry name (``"object"`` / ``"columnar"`` /
+        ``"columnar-frontier"``; see :data:`BACKENDS`).
     supports_bulk:
         True when the store provides vectorised whole-round decisions
         (:meth:`bulk_inv1_violators` / :meth:`bulk_desire_levels`); the PLDS
@@ -829,10 +830,21 @@ class FrontierLevelStore(ColumnarLevelStore):
         """Array version of :meth:`bulk_desire_levels`: ``(violators,
         desires)`` with the violators in input order.
 
-        The desire level — the highest ``d <= ℓ(v)`` whose neighbour count
-        ``up_deg + Σ_{j >= d-1} down[j]`` meets ``lower_threshold(d)`` — is
-        computed for all violators at once from a reversed-cumsum suffix
-        matrix, replacing the per-vertex descending Python scan.
+        The desire level is the highest ``d <= ℓ(v)`` whose neighbour count
+        ``cnt(d) = up_deg + Σ_{j >= d-1} down[j]`` meets
+        ``lower_threshold(d)`` (``d = 0`` is always feasible).  Feasibility
+        is downward-closed in ``d``: lowering ``d`` only adds terms to the
+        suffix sum, so ``cnt`` does not decrease, while ``lower_threshold``
+        (``(1+δ)^{group(d-1)}``) does not increase.  Hence if ``d`` is
+        feasible so is every ``d' < d``, and the desire level is the
+        boundary of a monotone predicate: a vectorised binary search finds
+        it for all violators at once in ``O(log ℓ)`` gather passes.  A
+        violator is infeasible at ``ℓ(v)`` itself, so the search runs over
+        ``[0, ℓ(v) − 1]``.
+
+        Only the first ``max ℓ(v)`` columns of ``down`` are read —
+        ``down[v, j]`` counts neighbours strictly below ``ℓ(v)``, so it is
+        zero for ``j >= ℓ(v)``.
         """
         if _OBS.enabled:
             _K_DESIRE.inc()
@@ -846,17 +858,25 @@ class FrontierLevelStore(ColumnarLevelStore):
         if v.size == 0:
             return v, np.empty(0, dtype=np.int64)
         lvl_v = lv[viol]
-        width = self._width
-        rows = self.down[v]
-        # suffix[:, j] = Σ_{k >= j} rows[:, k]; padded with a zero column at
-        # index `width` so `d - 1 >= width` contributes nothing.
-        suffix = np.zeros((len(v), width + 1), dtype=np.int64)
-        suffix[:, :width] = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
-        d = np.arange(1, int(lvl_v.max()) + 1, dtype=np.int64)
-        cnt = self.up_deg[v][:, None] + suffix[:, np.minimum(d - 1, width)]
-        feasible = (cnt >= self._lower[d][None, :]) & (d[None, :] <= lvl_v[:, None])
-        desire = np.where(feasible, d[None, :], 0).max(axis=1)
-        return v, desire
+        top = int(lvl_v.max())  # < width: _ensure_width keeps it so
+        # prefix[:, j] = Σ_{k < j} down[v, k] for j in [0, top], so
+        # cnt(d) = up_deg + prefix[:, top] - prefix[:, d - 1].
+        prefix = np.zeros((v.size, top + 1), dtype=np.int64)
+        np.cumsum(self.down[v, :top], axis=1, out=prefix[:, 1:])
+        total = self.up_deg[v] + prefix[:, top]
+        rows = np.arange(v.size)
+        lo = np.zeros(v.size, dtype=np.int64)  # feasible (d = 0 always is)
+        hi = lvl_v - 1  # the desire level is at most hi
+        lower = self._lower
+        while (lo < hi).any():
+            # A settled row (lo >= hi) probes mid == lo, which leaves lo
+            # unchanged whatever the probe says (mid == 0 reads column -1,
+            # in bounds).
+            mid = (lo + hi + 1) >> 1
+            ok = total - prefix[rows, mid - 1] >= lower[mid]
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid - 1)
+        return v, lo
 
     def bulk_raise_level_rows(
         self, movers: np.ndarray, old: int, src: np.ndarray, flat: np.ndarray

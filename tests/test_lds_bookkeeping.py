@@ -6,6 +6,7 @@ tests that poke at the object backend's ``down`` dicts directly stay
 object-only.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from repro.graph import DynamicGraph
 from repro.lds.bookkeeping import LevelState
 from repro.lds.params import LDSParams
-from repro.lds.store import BACKENDS, make_store
+from repro.lds.store import BACKENDS, ColumnarLevelStore, make_store
 
 
 def make_state(n=6, edges=(), levels_per_group=8, backend="object"):
@@ -340,3 +341,93 @@ class TestProperties:
                 [state.satisfies_invariant2(v) for v in range(n)],
             )
         assert results["object"] == results["columnar"]
+
+
+def _assert_desire_kernel_exact(state):
+    """The frontier desire kernel on every vertex against the scalar
+    Invariant-2 check, the loop ``desire_level`` and the definition."""
+    n = state.graph.num_vertices
+    viols, desires = state.bulk_desire_levels_arr(np.arange(n, dtype=np.int64))
+    assert viols.tolist() == [
+        v for v in range(n) if not state.satisfies_invariant2(v)
+    ]
+    for v, d in zip(viols.tolist(), desires.tolist()):
+        assert d == ColumnarLevelStore.desire_level(state, v), v
+        assert d == _brute_force_desire(state, v), v
+
+
+@st.composite
+def kernel_scripts(draw):
+    """A level script plus a group height; height 1 makes ``max_level``
+    small enough that many moves clamp onto it."""
+    n, edges, moves = draw(level_scripts())
+    return n, edges, moves, draw(st.sampled_from((1, 2, 4)))
+
+
+class TestFrontierDesireKernel:
+    """``FrontierLevelStore.bulk_desire_levels_arr`` (trimmed columns,
+    binary search) against the scalar reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_scripts())
+    def test_matches_scalar_desire_on_random_scripts(self, script):
+        n, edges, moves, lpg = script
+        _, state = make_state(
+            n, edges, levels_per_group=lpg, backend="columnar-frontier"
+        )
+        for v, lvl in moves:
+            state.set_level(v, min(lvl, state.params.max_level))
+        _assert_desire_kernel_exact(state)
+
+    def test_violators_at_max_level(self):
+        n = 8
+        _, state = make_state(
+            n, [(0, i) for i in range(1, n)] + [(1, 2)], levels_per_group=1,
+            backend="columnar-frontier",
+        )
+        top = state.params.max_level
+        for v in (0, 1, 2):
+            state.set_level(v, top)
+        for w in range(3, n):
+            state.set_level(w, 1)
+        assert not state.satisfies_invariant2(1)
+        _assert_desire_kernel_exact(state)
+
+    def test_support_exactly_at_group_boundary(self):
+        # levels_per_group=2: threshold(2) = 1 but threshold(3) = 1.2.  One
+        # neighbour at the boundary level 2 supports d = 2 exactly; two
+        # neighbours there support d = 3 (count 2 >= 1.2) but not d = 4.
+        _, state = make_state(
+            6, [(0, 1), (3, 4), (3, 5)], levels_per_group=2,
+            backend="columnar-frontier",
+        )
+        for w in (1, 4, 5):
+            state.set_level(w, 2)
+        state.set_level(0, 7)
+        state.set_level(3, 9)
+        viols, desires = state.bulk_desire_levels_arr(
+            np.arange(6, dtype=np.int64)
+        )
+        assert dict(zip(viols.tolist(), desires.tolist())) == {0: 2, 3: 3}
+        _assert_desire_kernel_exact(state)
+
+    def test_violator_on_last_matrix_column(self):
+        # The store keeps level < width (``_ensure_width`` runs on every
+        # level change), so ``d - 1 >= width`` cannot occur; the nearest
+        # edge is a violator on the matrix's last column, where the trimmed
+        # read covers every column, next to low violators whose rows are
+        # zero-padded past their own level.
+        _, state = make_state(
+            6, [(0, 1), (0, 2), (0, 3), (4, 5)], levels_per_group=2,
+            backend="columnar-frontier",
+        )
+        state.set_level(0, 13)
+        top = state._width - 1
+        state.set_level(1, 1)
+        state.set_level(2, 3)
+        state.set_level(0, top)
+        state.set_level(4, 5)
+        assert state._width == top + 1
+        assert not state.satisfies_invariant2(0)
+        assert not state.satisfies_invariant2(4)
+        _assert_desire_kernel_exact(state)
