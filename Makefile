@@ -9,7 +9,7 @@ BENCH_ARTIFACT ?= BENCH_pr9.json
 # Every target runs against the in-tree sources, no install required.
 export PYTHONPATH = src
 
-.PHONY: install test perfbench-test lint chaos scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
+.PHONY: install test perfbench-test paired-runs lint chaos scenarios scenarios-smoke bench bench-full bench-json bench-baseline bench-gate reproduce reproduce-full examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -21,6 +21,18 @@ test:
 # identical-work-counter check; mirrors the CI perfbench-tests job.
 perfbench-test:
 	$(PYTHON) -m pytest perfbench -q
+
+# Alternating paired benchmark runs of two git refs, each in its own git
+# worktree, with the medians, quartiles, wins and claim check per metric:
+#   make paired-runs BASE=HEAD~1 CHANGE=HEAD WORKLOAD=ingest-powerlaw SEED=201
+BASE ?= HEAD~1
+CHANGE ?= HEAD
+WORKLOAD ?= ingest-powerlaw
+PAIRS ?= 10
+SEED ?= 1
+paired-runs:
+	$(PYTHON) tools/paired_runs.py --base $(BASE) --change $(CHANGE) \
+		--workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # Mirrors the CI lint job; ruff/mypy are skipped with a notice when absent.
 lint:

@@ -28,7 +28,9 @@ reproduction (see DESIGN.md substitution table for the multi-writer case).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from repro.core.descriptor import UNMARKED
 from repro.core.marking import DescriptorTable
@@ -84,7 +86,7 @@ class _MarkingHooks(UpdateHooks):
         self.cp = cp
         self._phase: Phase = "insert"
 
-    def batch_begin(self, kind: Phase, edges: Sequence[Edge]) -> None:
+    def batch_begin(self, kind: Phase, edges: np.ndarray) -> None:
         cp = self.cp
         self._phase = kind
         # Incremented at the start of every batch (Algorithm 1).  A plain
@@ -98,7 +100,7 @@ class _MarkingHooks(UpdateHooks):
                 len(edges),
             )
         partners: dict[Vertex, list[Vertex]] = {}
-        for u, v in edges:
+        for u, v in edges.tolist():
             partners.setdefault(u, []).append(v)
             partners.setdefault(v, []).append(u)
         cp._batch_partners = partners

@@ -40,7 +40,6 @@ The round drivers adapt to whatever hooks are installed:
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
 
 import numpy as np
 
@@ -64,10 +63,11 @@ from repro.obs.staleness import (
     STALENESS_EPOCHS as _STALENESS,
 )
 from repro.runtime.executor import Executor, SequentialExecutor
-from repro.types import Edge, Vertex
+from repro.types import Vertex
 from repro.unionfind.vectorized import VectorizedUnionFind
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_NO_EDGES = np.empty((0, 2), dtype=np.int64)
 
 #: Rounds with at most this many movers run through the scalar per-vertex
 #: path — for one or two movers a couple of set_level calls beat the fixed
@@ -100,7 +100,7 @@ def _noop_round(executor: Executor, size: int) -> None:
 # ----------------------------------------------------------------------
 # Phase drivers (replacing PLDS._run_insert_rounds / _run_delete_rounds)
 # ----------------------------------------------------------------------
-def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
+def run_insert_rounds(plds: PLDS, applied: np.ndarray) -> None:
     """Insertion sweep over whole per-level frontiers (Invariant 1)."""
     state = plds.state
     hooks = plds.hooks
@@ -121,10 +121,8 @@ def run_insert_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
             else:
                 bucket.append(arr)
 
-        if applied:
-            eps = np.unique(
-                np.asarray(applied, dtype=np.int64).reshape(-1, 2).ravel()
-            )
+        if len(applied):
+            eps = np.unique(applied.ravel())
             lv = level_arr[eps]
             order = np.argsort(lv, kind="stable")
             se, sl = eps[order], lv[order]
@@ -205,7 +203,7 @@ def _merge_sorted(
     return v[order], np.concatenate([ad, bd])[order]
 
 
-def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
+def run_delete_rounds(plds: PLDS, applied: np.ndarray) -> None:
     """Deletion rounds over the whole outstanding frontier (Invariant 2).
 
     Each round needs the desire level of every outstanding violator, but a
@@ -224,12 +222,7 @@ def run_delete_rounds(plds: PLDS, applied: Sequence[Edge]) -> None:
     stamp = state._stamp
     hooks.batch_begin("delete", applied)
     try:
-        if applied:
-            recompute = np.unique(
-                np.asarray(applied, dtype=np.int64).reshape(-1, 2).ravel()
-            )
-        else:
-            recompute = _EMPTY
+        recompute = np.unique(applied.ravel())
         # Violators whose counters no move touched, with their desires.
         carry_v = carry_d = _EMPTY
         while recompute.size or carry_v.size:
@@ -320,12 +313,12 @@ class FrontierMarkingHooks(UpdateHooks):
     def __init__(self, cp: "FrontierCPLDS") -> None:
         self.cp = cp
         self._phase: Phase = "insert"
-        self._edges: Sequence[Edge] = ()
+        self._edges: np.ndarray = _NO_EDGES
         self._pair_chunks: list[tuple[np.ndarray, np.ndarray]] = []
         self._pairs_scalar: list[tuple[int, int]] = []
 
     # -- phase boundaries ----------------------------------------------
-    def batch_begin(self, kind: Phase, edges: Sequence[Edge]) -> None:
+    def batch_begin(self, kind: Phase, edges: np.ndarray) -> None:
         cp = self.cp
         self._phase = kind
         cp.batch_number += 1
@@ -428,11 +421,10 @@ class FrontierMarkingHooks(UpdateHooks):
         uf = cp._uf
         # Batch-edge partner pairs: both endpoints marked by phase end.
         edges = self._edges
-        if edges:
-            earr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-            both = marked[earr[:, 0]] & marked[earr[:, 1]]
+        if len(edges):
+            both = marked[edges[:, 0]] & marked[edges[:, 1]]
             if both.any():
-                self._pair_chunks.append((earr[both, 0], earr[both, 1]))
+                self._pair_chunks.append((edges[both, 0], edges[both, 1]))
         if self._pairs_scalar:
             sarr = np.asarray(self._pairs_scalar, dtype=np.int64).reshape(-1, 2)
             self._pair_chunks.append((sarr[:, 0], sarr[:, 1]))
@@ -452,9 +444,8 @@ class FrontierMarkingHooks(UpdateHooks):
         roots = uf.find_many(marked_idx)
         cp.last_batch_marked = int(marked_idx.size)
         cp.last_batch_dags = int(np.unique(roots).size)
-        cp.last_batch_dag_map = {
-            int(v): int(r) for v, r in zip(marked_idx, roots)
-        }
+        cp._dag_arrays = (marked_idx, roots)
+        cp._dag_map = None
         if _OBS.enabled:
             _BATCHES.inc()
             _MARKED.inc(cp.last_batch_marked)
@@ -484,7 +475,7 @@ class FrontierMarkingHooks(UpdateHooks):
         uf.parent[marked_idx] = marked_idx
         self._pair_chunks.clear()
         self._pairs_scalar.clear()
-        self._edges = ()
+        self._edges = _NO_EDGES
         cp._publish_epoch()
 
 
@@ -516,7 +507,24 @@ class FrontierCPLDS(CPLDS):
         self._marked = np.zeros(num_vertices, dtype=bool)
         self._old_level = np.zeros(num_vertices, dtype=np.int64)
         self._uf = VectorizedUnionFind(num_vertices)
+        #: ``(marked vertices, their DAG roots)`` of the last phase; the
+        #: dict form is built from it on first access.
+        self._dag_arrays = (_EMPTY, _EMPTY)
         self.plds.hooks = FrontierMarkingHooks(self)
+
+    @property
+    def last_batch_dag_map(self) -> dict[Vertex, Vertex]:
+        """Dependency-DAG partition of the most recent batch (vertex -> DAG
+        root), built lazily from the phase-end arrays: only history checks
+        and tests read it."""
+        if self._dag_map is None:
+            marked_idx, roots = self._dag_arrays
+            self._dag_map = dict(zip(marked_idx.tolist(), roots.tolist()))
+        return self._dag_map
+
+    @last_batch_dag_map.setter
+    def last_batch_dag_map(self, value: dict[Vertex, Vertex]) -> None:
+        self._dag_map = value
 
     # ------------------------------------------------------------------
     # Reads: the sandwich over the parent array
@@ -650,7 +658,7 @@ class FrontierCPLDS(CPLDS):
         if hooks is not None:
             hooks._pair_chunks.clear()
             hooks._pairs_scalar.clear()
-            hooks._edges = ()
+            hooks._edges = _NO_EDGES
 
     def _frontier_hooks(self) -> FrontierMarkingHooks | None:
         hooks = self.plds.hooks

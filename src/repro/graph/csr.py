@@ -1,17 +1,20 @@
-"""Static CSR (compressed sparse row) snapshot of an undirected graph.
+"""CSR (compressed sparse row) views of an undirected graph.
 
 The exact k-core peeling algorithm (:mod:`repro.exact.peeling`) and the
 frontier level store's neighbour gathers are the hot numeric kernels in this
-library that benefit from contiguous arrays, so following the HPC guidance we
-freeze the mutable :class:`DynamicGraph` into a numpy CSR structure before
-running them.  The snapshot is immutable by convention: its arrays are
-created fresh and never mutated afterwards.
+library that benefit from contiguous arrays.  Both read the one CSR the
+:class:`DynamicGraph` owns: its sorted directed-key array ``u*n + v`` (both
+directions of every edge, rows ascending), which the graph merges each
+applied batch into.  A :class:`CSRGraph` is that array split into
+``offsets`` and ``targets``; it is immutable by convention, and since the
+graph replaces its key array rather than writing it, a view taken before a
+mutation stays frozen.
 
-:func:`csr_view` is the cached entry point: it keys the snapshot on the
+:func:`csr_view` is the cached entry point: it keys the view on the
 graph's edge-set version, so repeated callers between mutations (every
 ``core_decomposition`` / ``degeneracy`` / ``k_core_subgraph`` call in an
-analysis session, say) share one set of arrays instead of re-freezing the
-graph each time.
+analysis session, or every gather of a frontier phase) share one set of
+arrays, and the derivation after a mutation is O(n + m) array passes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ import numpy as np
 
 from repro.errors import VertexOutOfRange
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.obs import REGISTRY as _OBS
 from repro.types import Edge, Vertex
+
+# The columnar kernels' counters (see repro.lds.store): a CSR derivation
+# counts as one call and its directed keys as rows.
+_K_CSR = _OBS.counter("columnar_kernel_calls_total", {"kernel": "csr_rebuild"})
+_K_ROWS = _OBS.counter("columnar_kernel_rows_total")
 
 
 class CSRGraph:
@@ -44,19 +53,22 @@ class CSRGraph:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_dynamic(cls, g: DynamicGraph) -> "CSRGraph":
-        """Snapshot a :class:`DynamicGraph` (single-threaded; call quiescent)."""
-        n = g.num_vertices
-        degrees = np.fromiter(
-            (g.degree(v) for v in range(n)), dtype=np.int64, count=n
-        )
+    def from_keys(cls, num_vertices: int, keys: np.ndarray) -> "CSRGraph":
+        """Split sorted directed keys ``u*n + v`` into ``offsets``/``targets``."""
+        n = num_vertices
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        targets = np.empty(int(offsets[-1]), dtype=np.int64)
-        for v in range(n):
-            nbrs = sorted(g.neighbors_unsafe(v))
-            targets[offsets[v] : offsets[v + 1]] = nbrs
+        if not keys.size:
+            return cls(offsets, keys)
+        src, targets = np.divmod(keys, n)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         return cls(offsets, targets)
+
+    @classmethod
+    def from_dynamic(cls, g: DynamicGraph) -> "CSRGraph":
+        """The graph's CSR: the cached :func:`csr_view` (single-threaded;
+        call quiescent).  Never mutated, so it stays a snapshot of the edge
+        set at the time of the call."""
+        return csr_view(g)
 
     @classmethod
     def from_edges(cls, num_vertices: int, edges: Iterable[Edge]) -> "CSRGraph":
@@ -97,18 +109,22 @@ class CSRGraph:
 
 
 def csr_view(g: DynamicGraph) -> CSRGraph:
-    """A CSR snapshot of ``g``, cached on the graph's edge-set version.
+    """The CSR of ``g``, cached on the graph's edge-set version.
 
-    The first call after any mutation freezes the graph (O(n + m)); every
-    further call before the next mutation returns the exact same
-    :class:`CSRGraph` object (and therefore the same arrays).  The dirty
-    check is one integer comparison, so callers can use this unconditionally
-    wherever they previously called :meth:`CSRGraph.from_dynamic`.
+    The first call after any mutation splits the graph's key array
+    (:meth:`DynamicGraph.adjacency_keys`) into ``offsets``/``targets`` in
+    O(n + m) array passes; every further call before the next mutation
+    returns the exact same :class:`CSRGraph` object (and therefore the same
+    arrays).  The dirty check is one integer comparison.
     """
     cached = g._csr_cache
     version = g._version
     if cached is not None and cached[0] == version:
         return cached[1]  # type: ignore[return-value]
-    csr = CSRGraph.from_dynamic(g)
+    keys = g.adjacency_keys()
+    if _OBS.enabled:
+        _K_CSR.inc()
+        _K_ROWS.inc(int(keys.size))
+    csr = CSRGraph.from_keys(g.num_vertices, keys)
     g._csr_cache = (version, csr)
     return csr

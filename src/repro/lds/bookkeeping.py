@@ -19,10 +19,10 @@ synchronisation in the single-writer configurations this library runs
 
 from __future__ import annotations
 
-from typing import Iterable
+import numpy as np
 
 from repro.errors import LDSError
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dynamic_graph import DynamicGraph, as_edge_array
 from repro.lds.params import LDSParams
 from repro.types import Vertex
 
@@ -256,35 +256,34 @@ class ObjectLevelStore:
         """An indexable copy of the live levels (same as the list snapshot)."""
         return list(self.level)
 
-    def apply_edges(
-        self, edges: Iterable[tuple[Vertex, Vertex]], kind: str
-    ) -> list[tuple[Vertex, Vertex]]:
-        """Apply one pre-filtered batch to the graph, then fix counters.
+    def apply_edges(self, edges: np.ndarray, kind: str) -> np.ndarray:
+        """Apply one pre-filtered ``(k, 2)`` batch to the graph, then fix
+        counters; returns the batch array.
 
         Callers (PLDS) canonicalise and dedup the batch against the graph
         first, so the whole batch goes through ``insert_batch``/``delete_batch``
         in one call; the per-edge counter updates are order-independent
         because levels are held fixed while a batch is applied.
         """
-        batch = list(edges)
-        if not batch:
-            return batch
+        arr = as_edge_array(edges)
+        if not len(arr):
+            return arr
         if kind == "insert":
-            applied = self.graph.insert_batch(batch)
+            applied = self.graph.insert_batch(arr)
             book_op = self.on_edge_inserted
         elif kind == "delete":
-            applied = self.graph.delete_batch(batch)
+            applied = self.graph.delete_batch(arr)
             book_op = self.on_edge_deleted
         else:
             raise ValueError(f"unknown edge-batch kind {kind!r}")
-        if applied != len(batch):
+        if applied != len(arr):
             raise LDSError(
-                f"apply_edges expects a pre-filtered batch: {len(batch)} "
+                f"apply_edges expects a pre-filtered batch: {len(arr)} "
                 f"edges submitted but {applied} applied"
             )
-        for u, v in batch:
+        for u, v in arr.tolist():
             book_op(u, v)
-        return batch
+        return arr
 
     # ------------------------------------------------------------------
     # State management (snapshot / restore / reload)

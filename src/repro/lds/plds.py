@@ -29,6 +29,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Literal, Sequence
 
+import numpy as np
+
 from repro.errors import LDSError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.lds.params import LDSParams
@@ -36,7 +38,7 @@ from repro.lds.store import LevelStore, make_store
 from repro.obs import COUNT_BUCKETS, REGISTRY as _OBS
 from repro.obs.flightrec import RECORDER as _REC, EventType as _EV
 from repro.runtime.executor import Executor, SequentialExecutor
-from repro.types import Edge, Vertex, canonicalize_batch
+from repro.types import Edge, Vertex
 
 Phase = Literal["insert", "delete"]
 
@@ -67,8 +69,9 @@ class UpdateHooks:
     #: See :class:`repro.core.frontier.FrontierMarkingHooks`.
     supports_bulk_moves = False
 
-    def batch_begin(self, kind: Phase, edges: Sequence[Edge]) -> None:
-        """Called once per phase, after edges are applied to the graph."""
+    def batch_begin(self, kind: Phase, edges: np.ndarray) -> None:
+        """Called once per phase, after edges are applied to the graph;
+        ``edges`` is the applied sub-batch as a ``(k, 2)`` int64 array."""
 
     def before_move(self, v: Vertex, old_level: int, new_level: int, phase: Phase) -> None:
         """Called immediately before ``v``'s live level changes."""
@@ -183,14 +186,14 @@ class PLDS:
         deletion sub-batches").  Edges appearing in both sub-batches are
         treated as insert-then-delete.
         """
-        ins = canonicalize_batch(insertions)
-        dels = canonicalize_batch(deletions)
+        ins = self.graph.filter_new_edges(insertions)
+        # Validated before the insertion phase mutates anything.
+        dels = self.graph.canonical_batch(deletions)
         self._reset_batch_counters()
-        ins = self.graph.filter_new_edges(ins)
-        if ins:
+        if len(ins):
             self._insert_phase(ins)
         dels = self.graph.filter_present_edges(dels)
-        if dels:
+        if len(dels):
             self._delete_phase(dels)
         return len(ins), len(dels)
 
@@ -201,7 +204,7 @@ class PLDS:
     # ------------------------------------------------------------------
     # Insertion phase: bottom-up sweep of Invariant-1 violators
     # ------------------------------------------------------------------
-    def _insert_phase(self, batch: Sequence[Edge]) -> None:
+    def _insert_phase(self, batch: np.ndarray) -> None:
         state = self.state
         moves0, rounds0 = self.last_batch_moves, self.last_batch_rounds
         with _OBS.span("plds.insert_phase") as sp:
@@ -214,7 +217,7 @@ class PLDS:
                 _MOVES_HIST.observe(moved)
                 _ROUNDS_HIST.observe(rounds)
 
-    def _run_insert_rounds(self, applied: Sequence[Edge]) -> None:
+    def _run_insert_rounds(self, applied: np.ndarray) -> None:
         state = self.state
         if getattr(state, "supports_frontier", False):
             # The columnar-frontier store runs the whole phase as numpy
@@ -237,7 +240,7 @@ class PLDS:
                 else:
                     bucket.add(v)
 
-            for u, v in applied:
+            for u, v in applied.tolist():
                 enqueue(u, int(state.level[u]))
                 enqueue(v, int(state.level[v]))
 
@@ -305,7 +308,7 @@ class PLDS:
     # ------------------------------------------------------------------
     # Deletion phase: desire-level rounds in increasing level order
     # ------------------------------------------------------------------
-    def _delete_phase(self, batch: Sequence[Edge]) -> None:
+    def _delete_phase(self, batch: np.ndarray) -> None:
         state = self.state
         moves0, rounds0 = self.last_batch_moves, self.last_batch_rounds
         with _OBS.span("plds.delete_phase") as sp:
@@ -318,7 +321,7 @@ class PLDS:
                 _MOVES_HIST.observe(moved)
                 _ROUNDS_HIST.observe(rounds)
 
-    def _run_delete_rounds(self, applied: Sequence[Edge]) -> None:
+    def _run_delete_rounds(self, applied: np.ndarray) -> None:
         state = self.state
         if getattr(state, "supports_frontier", False):
             from repro.core.frontier import run_delete_rounds
@@ -327,10 +330,7 @@ class PLDS:
             return
         self.hooks.batch_begin("delete", applied)
         try:
-            outstanding: set[Vertex] = set()
-            for u, v in applied:
-                outstanding.add(u)
-                outstanding.add(v)
+            outstanding: set[Vertex] = set(applied.ravel().tolist())
             while True:
                 desires = self._decide_desire_levels(outstanding)
                 if not desires:

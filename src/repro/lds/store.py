@@ -16,10 +16,9 @@ quantities are laid out in memory.  This module makes the layout a choice:
   checks and desire-level scans over whole candidate sets become single
   vectorised kernels, and snapshots are O(1)-ish array copies.
 * :class:`FrontierLevelStore` — the columnar layout plus the whole-frontier
-  machinery behind the ``columnar-frontier`` engine: an incrementally
-  maintained flat edge list frozen into a CSR view once per phase
-  (:meth:`FrontierLevelStore.sync_csr`), neighbour gathers as
-  ``offsets``/``targets`` slices, and array-in/array-out round kernels
+  machinery behind the ``columnar-frontier`` engine: neighbour gathers as
+  ``offsets``/``targets`` slices of the graph's own CSR
+  (:meth:`FrontierLevelStore.sync_csr`), and array-in/array-out round kernels
   (:meth:`~FrontierLevelStore.bulk_inv1_violators_arr`,
   :meth:`~FrontierLevelStore.bulk_desire_levels_arr`,
   :meth:`~FrontierLevelStore.bulk_raise_level_rows`,
@@ -41,12 +40,13 @@ reader-visible word.  The counter structures remain writer-private.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.errors import LDSError
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.csr import CSRGraph, csr_view
+from repro.graph.dynamic_graph import DynamicGraph, as_edge_array
 from repro.lds.params import LDSParams
 from repro.obs import REGISTRY as _OBS
 from repro.types import Vertex
@@ -61,7 +61,6 @@ _K_RAISE = _OBS.counter("columnar_kernel_calls_total", {"kernel": "bulk_raise_le
 _K_INV1 = _OBS.counter("columnar_kernel_calls_total", {"kernel": "bulk_inv1_violators"})
 _K_DESIRE = _OBS.counter("columnar_kernel_calls_total", {"kernel": "bulk_desire_levels"})
 _K_MOVE = _OBS.counter("columnar_kernel_calls_total", {"kernel": "bulk_move_to_level"})
-_K_CSR = _OBS.counter("columnar_kernel_calls_total", {"kernel": "csr_rebuild"})
 _K_ROWS = _OBS.counter("columnar_kernel_rows_total")
 
 
@@ -96,9 +95,7 @@ class LevelStore(Protocol):
     # -- edge/level bookkeeping -----------------------------------------
     def on_edge_inserted(self, u: Vertex, v: Vertex) -> None: ...
     def on_edge_deleted(self, u: Vertex, v: Vertex) -> None: ...
-    def apply_edges(
-        self, edges: Iterable[tuple[Vertex, Vertex]], kind: str
-    ) -> list[tuple[Vertex, Vertex]]: ...
+    def apply_edges(self, edges: np.ndarray, kind: str) -> np.ndarray: ...
     def set_level(self, v: Vertex, new_level: int) -> None: ...
 
     # -- invariant predicates -------------------------------------------
@@ -232,30 +229,28 @@ class ColumnarLevelStore:
         else:
             self.down[v, lu] -= 1
 
-    def apply_edges(
-        self, edges: Iterable[tuple[Vertex, Vertex]], kind: str
-    ) -> list[tuple[Vertex, Vertex]]:
-        """Apply one pre-filtered batch to the graph, then fix all counters
-        with two ``np.add.at`` scatter kernels (one per endpoint side)."""
-        batch = list(edges)
-        if not batch:
-            return batch
+    def apply_edges(self, edges: np.ndarray, kind: str) -> np.ndarray:
+        """Apply one pre-filtered ``(k, 2)`` batch to the graph, then fix
+        all counters with two ``np.add.at`` scatter kernels (one per
+        endpoint side); returns the batch array."""
+        arr = as_edge_array(edges)
+        if not len(arr):
+            return arr
         if kind == "insert":
-            applied = self.graph.insert_batch(batch)
+            applied = self.graph.insert_batch(arr)
             sign = 1
         elif kind == "delete":
-            applied = self.graph.delete_batch(batch)
+            applied = self.graph.delete_batch(arr)
             sign = -1
         else:
             raise ValueError(f"unknown edge-batch kind {kind!r}")
-        if applied != len(batch):
+        if applied != len(arr):
             raise LDSError(
-                f"apply_edges expects a pre-filtered batch: {len(batch)} "
+                f"apply_edges expects a pre-filtered batch: {len(arr)} "
                 f"edges submitted but {applied} applied"
             )
-        arr = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
         self._scatter_counters(arr, sign)
-        return batch
+        return arr
 
     def _scatter_counters(self, arr: np.ndarray, sign: int) -> None:
         """Accumulate counter deltas for an edge array (levels held fixed,
@@ -554,11 +549,9 @@ class ColumnarLevelStore:
         self.level[:] = arr.tolist()
         self.up_deg[:] = 0
         self.down[:] = 0
-        edge_list = list(self.graph.edges())
-        if edge_list:
-            self._scatter_counters(
-                np.asarray(edge_list, dtype=np.int64).reshape(-1, 2), 1
-            )
+        edges = self.graph.edge_array()
+        if len(edges):
+            self._scatter_counters(edges, 1)
 
     def snapshot(self):
         """O(1)-ish state snapshot: three array copies."""
@@ -626,20 +619,15 @@ class ColumnarLevelStore:
 
 
 class FrontierLevelStore(ColumnarLevelStore):
-    """Columnar store + per-phase CSR view + whole-frontier round kernels.
+    """Columnar store + CSR neighbour gathers + whole-frontier round kernels.
 
-    The backend behind the ``columnar-frontier`` engine.  On top of the
-    columnar layout it maintains a flat edge list (``_eu``/``_ev`` slot
-    arrays with an alive mask, appended/killed incrementally by
-    :meth:`apply_edges` and compacted when dead slots dominate).  At the
-    start of each update phase the round driver calls :meth:`sync_csr`,
-    which freezes the live edges into ``offsets``/``targets`` CSR arrays
-    with one stable integer argsort — O(m) radix work amortised against the
-    whole phase's neighbour gathers, and skipped entirely when the edge set
-    did not change since the last build (keyed on
-    :attr:`DynamicGraph.version`, so out-of-band mutations such as
-    ``restore_state``/``rebuild`` trigger a full resync instead of silent
-    staleness).
+    The backend behind the ``columnar-frontier`` engine.  It keeps no edges
+    of its own: neighbour gathers (:meth:`gather_rows`) slice the graph's
+    one CSR, served by :func:`~repro.graph.csr.csr_view` through
+    :meth:`sync_csr`.  The graph merges every applied batch into that CSR
+    and keys its view on :attr:`DynamicGraph.version`, so the view is
+    current by construction, out-of-band mutations such as
+    ``restore_state``/``rebuild`` included.
 
     The ``*_arr`` / ``*_rows`` kernels are the array-in/array-out versions
     of the scalar round decisions; each is differentially pinned to the
@@ -651,150 +639,26 @@ class FrontierLevelStore(ColumnarLevelStore):
     #: phase loops when the store advertises this.
     supports_frontier = True
 
-    __slots__ = (
-        "_eu", "_ev", "_alive", "_n_slots", "_dead", "_slot_of",
-        "_graph_version", "_csr_offsets", "_csr_targets", "_csr_version",
-        "_iota",
-    )
+    __slots__ = ("_iota",)
 
     def __init__(self, graph: DynamicGraph, params: LDSParams) -> None:
         super().__init__(graph, params)
-        self._graph_version = -1
-        self._csr_version = -1
-        self._csr_offsets = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-        self._csr_targets = np.empty(0, dtype=np.int64)
         self._iota = np.arange(1024, dtype=np.int64)
-        self._resync_edges()
-
-    # ------------------------------------------------------------------
-    # Incremental edge list
-    # ------------------------------------------------------------------
-    def _resync_edges(self) -> None:
-        """Rebuild the slot arrays from the graph (restore/rebuild path)."""
-        edge_list = list(self.graph.edges())
-        k = len(edge_list)
-        cap = max(16, 2 * k)
-        self._eu = np.empty(cap, dtype=np.int64)
-        self._ev = np.empty(cap, dtype=np.int64)
-        self._alive = np.zeros(cap, dtype=bool)
-        if k:
-            arr = np.asarray(edge_list, dtype=np.int64)
-            self._eu[:k] = arr[:, 0]
-            self._ev[:k] = arr[:, 1]
-            self._alive[:k] = True
-        self._slot_of = {e: i for i, e in enumerate(edge_list)}
-        self._n_slots = k
-        self._dead = 0
-        self._graph_version = self.graph.version
-        self._csr_version = -1
-
-    def _grow_slots(self, need: int) -> None:
-        cap = max(2 * len(self._eu), need)
-        for name in ("_eu", "_ev"):
-            old = getattr(self, name)
-            grown = np.empty(cap, dtype=np.int64)
-            grown[: self._n_slots] = old[: self._n_slots]
-            setattr(self, name, grown)
-        alive = np.zeros(cap, dtype=bool)
-        alive[: self._n_slots] = self._alive[: self._n_slots]
-        self._alive = alive
-
-    def _append_edges(self, batch: list[tuple[Vertex, Vertex]]) -> None:
-        k = len(batch)
-        s = self._n_slots
-        if s + k > len(self._eu):
-            self._grow_slots(s + k)
-        arr = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
-        self._eu[s : s + k] = arr[:, 0]
-        self._ev[s : s + k] = arr[:, 1]
-        self._alive[s : s + k] = True
-        slot_of = self._slot_of
-        for i, e in enumerate(batch):
-            slot_of[e] = s + i
-        self._n_slots = s + k
-
-    def _kill_edges(self, batch: list[tuple[Vertex, Vertex]]) -> None:
-        slot_of = self._slot_of
-        idx = np.fromiter(
-            (slot_of.pop(e) for e in batch), dtype=np.int64, count=len(batch)
-        )
-        self._alive[idx] = False
-        self._dead += len(batch)
-        if self._dead > max(256, self._n_slots - self._dead):
-            self._compact_slots()
-
-    def _compact_slots(self) -> None:
-        live = self._alive[: self._n_slots]
-        eu = self._eu[: self._n_slots][live]
-        ev = self._ev[: self._n_slots][live]
-        k = len(eu)
-        self._eu[:k] = eu
-        self._ev[:k] = ev
-        self._alive[:k] = True
-        self._alive[k:] = False
-        self._slot_of = {
-            (int(u), int(v)): i
-            for i, (u, v) in enumerate(zip(eu.tolist(), ev.tolist()))
-        }
-        self._n_slots = k
-        self._dead = 0
-
-    def apply_edges(
-        self, edges: Iterable[tuple[Vertex, Vertex]], kind: str
-    ) -> list[tuple[Vertex, Vertex]]:
-        pre = self.graph.version
-        batch = super().apply_edges(edges, kind)
-        if batch:
-            if self._graph_version == pre:
-                # In sync before the batch: track it incrementally.  When
-                # stale (out-of-band graph mutation), stay stale and let
-                # sync_csr trigger the full resync.
-                if kind == "insert":
-                    self._append_edges(batch)
-                else:
-                    self._kill_edges(batch)
-                self._graph_version = self.graph.version
-        return batch
 
     # ------------------------------------------------------------------
     # CSR view + gathers
     # ------------------------------------------------------------------
-    def sync_csr(self) -> None:
-        """Freeze the live edge set into CSR arrays (no-op when current)."""
-        version = self.graph.version
-        if self._graph_version != version:
-            self._resync_edges()
-        if self._csr_version == version:
-            return
-        n = self.graph.num_vertices
-        k = self._n_slots
-        eu = self._eu[:k]
-        ev = self._ev[:k]
-        if self._dead:
-            live = self._alive[:k]
-            eu = eu[live]
-            ev = ev[live]
-        src = np.concatenate([eu, ev])
-        dst = np.concatenate([ev, eu])
-        if _OBS.enabled:
-            _K_CSR.inc()
-            _K_ROWS.inc(int(src.size))
-        order = np.argsort(src, kind="stable")
-        self._csr_targets = dst[order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        if src.size:
-            counts = np.bincount(src, minlength=n)
-            np.cumsum(counts, out=offsets[1:])
-        self._csr_offsets = offsets
-        self._csr_version = version
+    def sync_csr(self) -> CSRGraph:
+        """The graph's CSR view (derived once per edge-set version)."""
+        return csr_view(self.graph)
 
     def gather_rows(self, varr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All CSR adjacency rows of ``varr`` flattened: ``(src, flat)``
         where ``flat[i]`` is a neighbour of ``src[i]``.  Syncs the CSR view
-        on demand (a two-comparison no-op when already current), so phases
-        that never gather skip the rebuild entirely."""
-        self.sync_csr()
-        offsets = self._csr_offsets
+        on demand (one version comparison when already current), so phases
+        that never gather skip the derivation entirely."""
+        csr = self.sync_csr()
+        offsets = csr.offsets
         start = offsets[varr]
         cnt = offsets[varr + 1] - start
         total = int(cnt.sum())
@@ -809,7 +673,7 @@ class FrontierLevelStore(ColumnarLevelStore):
         # iota - repeat(exclusive-cumsum - start): one repeat pass instead
         # of two, and the iota ramp is a cached slice, not a fresh arange.
         idx = self._iota[:total] - np.repeat(cum - cnt - start, cnt)
-        return np.repeat(varr, cnt), self._csr_targets[idx]
+        return np.repeat(varr, cnt), csr.targets[idx]
 
     # ------------------------------------------------------------------
     # Array-in/array-out round kernels

@@ -112,11 +112,11 @@ class TestViewsAndHelpers:
 
     def test_filter_new_edges(self):
         g = DynamicGraph(4, edges=[(0, 1)])
-        assert g.filter_new_edges([(1, 0), (2, 3), (3, 2)]) == [(2, 3)]
+        assert g.filter_new_edges([(1, 0), (2, 3), (3, 2)]).tolist() == [[2, 3]]
 
     def test_filter_present_edges(self):
         g = DynamicGraph(4, edges=[(0, 1), (2, 3)])
-        assert g.filter_present_edges([(1, 0), (1, 2)]) == [(0, 1)]
+        assert g.filter_present_edges([(1, 0), (1, 2)]).tolist() == [[0, 1]]
 
     def test_copy_is_independent(self):
         g = DynamicGraph(3, edges=[(0, 1)])
